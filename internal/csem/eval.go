@@ -170,7 +170,7 @@ func (m *Machine) eval(e ast.Expr) (Value, lvalue, bool, access, error) {
 		if x.Sym != nil && x.Sym.Func != nil {
 			// Function designator: decays to an interned function
 			// pseudo-address used for indirect-call dispatch.
-			return IntValue(funcAddr(x.Name)), lvalue{}, false, acc, nil
+			return IntValue(m.funcAddr(x.Name)), lvalue{}, false, acc, nil
 		}
 		addr, err := m.addrOf(x.Sym, x.Name)
 		if err != nil {
@@ -246,11 +246,8 @@ func (m *Machine) eval(e ast.Expr) (Value, lvalue, bool, access, error) {
 	return Value{}, lvalue{}, false, acc, ub("cannot evaluate %T", e)
 }
 
-var internedStrings = map[string]int64{}
-
 func (m *Machine) internString(s string) int64 {
-	key := fmt.Sprintf("%p|%s", m, s)
-	if a, ok := internedStrings[key]; ok {
+	if a, ok := m.strLits[s]; ok {
 		return a
 	}
 	t := ctypes.ArrayOf(ctypes.CharType, len(s)+1)
@@ -259,7 +256,7 @@ func (m *Machine) internString(s string) int64 {
 		m.mem[addr+int64(i)] = IntValue(int64(s[i]))
 	}
 	m.mem[addr+int64(len(s))] = IntValue(0)
-	internedStrings[key] = addr
+	m.strLits[s] = addr
 	return addr
 }
 
@@ -267,7 +264,7 @@ func (m *Machine) evalUnary(x *ast.Unary) (Value, lvalue, bool, access, error) {
 	switch x.Op {
 	case token.Amp:
 		if id, ok := sema.Strip(x.X).(*ast.Ident); ok && id.Sym != nil && id.Sym.Func != nil {
-			return IntValue(funcAddr(id.Name)), lvalue{}, false, newAccess(), nil
+			return IntValue(m.funcAddr(id.Name)), lvalue{}, false, newAccess(), nil
 		}
 		lv, acc, err := m.evalLvalue(x.X)
 		if err != nil {
@@ -805,7 +802,7 @@ func (m *Machine) evalCall(x *ast.Call) (Value, lvalue, bool, access, error) {
 	if name == "" {
 		// Indirect call through a function pointer: the designator's
 		// value is an interned function pseudo-address.
-		fname, ok := funcAddrNames[vals[0].AsInt()]
+		fname, ok := m.funcNames[vals[0].AsInt()]
 		if !ok {
 			return Value{}, lvalue{}, false, acc, ub("indirect call to unknown function %d", vals[0].AsInt())
 		}
@@ -833,25 +830,23 @@ func (m *Machine) evalDesignator(e ast.Expr) (Value, access, error) {
 	e2 := sema.Strip(e)
 	if id, ok := e2.(*ast.Ident); ok {
 		if id.Sym == nil || id.Sym.Func != nil {
-			return IntValue(funcAddr(id.Name)), newAccess(), nil
+			return IntValue(m.funcAddr(id.Name)), newAccess(), nil
 		}
 	}
 	return m.evalRvalue(e)
 }
 
-// Function pointers are modelled as interned negative pseudo-addresses.
-var (
-	funcAddrs     = map[string]int64{}
-	funcAddrNames = map[int64]string{}
-)
-
-func funcAddr(name string) int64 {
-	if a, ok := funcAddrs[name]; ok {
+// funcAddr returns the function's pseudo-address: function pointers are
+// modelled as negative addresses interned per machine. NewMachine
+// numbers the translation unit's functions in declaration order, so a
+// function-pointer value depends only on the program being run.
+func (m *Machine) funcAddr(name string) int64 {
+	if a, ok := m.funcAddrs[name]; ok {
 		return a
 	}
-	a := int64(-1000 - len(funcAddrs))
-	funcAddrs[name] = a
-	funcAddrNames[a] = name
+	a := int64(-1000 - len(m.funcAddrs))
+	m.funcAddrs[name] = a
+	m.funcNames[a] = name
 	return a
 }
 

@@ -142,6 +142,12 @@ type Machine struct {
 
 	funcs map[string]*ast.FuncDecl
 
+	// funcAddrs/funcNames intern function pseudo-addresses (funcAddr);
+	// strLits interns string-literal arrays (internString).
+	funcAddrs map[string]int64
+	funcNames map[int64]string
+	strLits   map[string]int64
+
 	// steps guards against runaway loops in property tests.
 	steps    int
 	MaxSteps int
@@ -157,17 +163,21 @@ type frame struct {
 // global storage and running global initializers.
 func NewMachine(tu *ast.TranslationUnit, o Oracle) (*Machine, error) {
 	m := &Machine{
-		mem:      make(map[int64]Value),
-		oracle:   o,
-		nextAddr: 0x1000,
-		globals:  make(map[string]int64),
-		funcs:    make(map[string]*ast.FuncDecl),
-		MaxSteps: 2_000_000,
+		mem:       make(map[int64]Value),
+		oracle:    o,
+		nextAddr:  0x1000,
+		globals:   make(map[string]int64),
+		funcs:     make(map[string]*ast.FuncDecl),
+		funcAddrs: make(map[string]int64),
+		funcNames: make(map[int64]string),
+		strLits:   make(map[string]int64),
+		MaxSteps:  2_000_000,
 	}
 	for _, f := range tu.Funcs {
 		if f.Body != nil || m.funcs[f.Name] == nil {
 			m.funcs[f.Name] = f
 		}
+		m.funcAddr(f.Name)
 	}
 	for _, g := range tu.Globals {
 		addr := m.alloc(g.Type)

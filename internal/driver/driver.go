@@ -49,7 +49,8 @@ type Config struct {
 	// pipeline shard across (the -j flag). 0 uses the process default
 	// (SetDefaultJobs, else GOMAXPROCS); 1 forces the sequential path,
 	// the differential-testing oracle. Output is byte-identical across
-	// all values — results merge in original function order.
+	// all values: the pass pipeline runs the call graph's SCCs bottom-up
+	// and merges results in that order.
 	Jobs int
 	// Engine selects the run-leg execution engine (EngineVM or
 	// EngineTree). "" uses the process default (SetDefaultEngine, else
@@ -314,7 +315,7 @@ func (c *Compilation) RunSanitized(entry string) ([]*interp.SanitizerFailure, er
 	if entry == "" {
 		entry = "main"
 	}
-	stop := c.cfg.Telemetry.Span("phase/interp")
+	stop := c.cfg.Telemetry.Span("phase/run")
 	_, err := m.RunArgs(entry)
 	stop()
 	m.Report(c.cfg.Telemetry)

@@ -97,7 +97,7 @@ func (c *Compilation) RunOn(engine, entry string, args ...int64) (int64, float64
 	if entry == "" {
 		entry = "main"
 	}
-	stop := c.cfg.Telemetry.Span("phase/interp")
+	stop := c.cfg.Telemetry.Span("phase/run")
 	v, err := m.RunArgs(entry, args...)
 	stop()
 	m.Report(c.cfg.Telemetry)

@@ -31,7 +31,7 @@ func (c *Compilation) ProfileRun(engine, entry string, args ...int64) (int64, fl
 	if entry == "" {
 		entry = "main"
 	}
-	stop := c.cfg.Telemetry.Span("phase/interp")
+	stop := c.cfg.Telemetry.Span("phase/run")
 	v, err := m.RunArgs(entry, args...)
 	stop()
 	m.Report(c.cfg.Telemetry)

@@ -57,6 +57,38 @@ func TestGeneratorCoverage(t *testing.T) {
 	}
 }
 
+// TestForwardDefinedHelpers: a share of generated programs declare
+// their helpers as prototypes and define them after main, so the fuzz
+// smoke box's seed range (1..400) exercises callers compiled before
+// their callees. Such a program must pass every leg, inline-off
+// included.
+func TestForwardDefinedHelpers(t *testing.T) {
+	found := 0
+	for seed := int64(1); seed <= 400; seed++ {
+		p := Generate(seed, DefaultConfig())
+		m := strings.Index(p.Source, "int main(")
+		if m < 0 || !strings.Contains(p.Source[m:], "int f0(int x, int y) {") {
+			continue
+		}
+		if !strings.Contains(p.Source[:m], "int f0(int x, int y);") {
+			t.Fatalf("seed %d: f0 defined after main without a prototype:\n%s", seed, p.Source)
+		}
+		if found++; found > 3 {
+			continue
+		}
+		out := Check(p, HarnessOpts{InlineOff: true})
+		if len(out.Legs) == 0 && !out.UB {
+			t.Errorf("seed %d: no leg ran", seed)
+		}
+		for _, f := range out.Findings {
+			t.Errorf("seed %d: %s: %s", seed, f.Kind, f.Detail)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no seed in 1..400 defined its helpers after main")
+	}
+}
+
 // TestHarnessCleanOnSeeds is the PR's acceptance gate in miniature:
 // a block of seeds must produce no divergence on HEAD.
 func TestHarnessCleanOnSeeds(t *testing.T) {

@@ -283,18 +283,20 @@ func (g *Generator) program() (string, bool) {
 
 	// Helper functions: plain ones with global side effects (call-owned,
 	// indeterminately sequenced — legal but order-sensitive) and a
-	// restrict-qualified one, always called with distinct objects.
+	// restrict-qualified one, always called with distinct objects. Their
+	// definitions go to defs, placed before or after main at the end.
+	var defs strings.Builder
 	if g.cfg.Calls {
 		nf := 1 + g.intn(2)
 		for i := 0; i < nf; i++ {
 			name := fmt.Sprintf("f%d", i)
 			tgt := g.scalars[g.intn(len(g.scalars))]
-			fmt.Fprintf(&b, "int %s(int x, int y) { %s = %s + x; return (x * %d) ^ (y + %d); }\n",
+			fmt.Fprintf(&defs, "int %s(int x, int y) { %s = %s + x; return (x * %d) ^ (y + %d); }\n",
 				name, tgt.name, tgt.name, 1+g.intn(5), g.intn(7))
 			g.funcs = append(g.funcs, funcInfo{name: name, nparams: 2})
 		}
 		if len(g.arrays) > 0 && g.chance(0.7) {
-			b.WriteString("int fr(int *restrict p, int *restrict q) { *p = *p + 1; return *p - *q; }\n")
+			defs.WriteString("int fr(int *restrict p, int *restrict q) { *p = *p + 1; return *p - *q; }\n")
 			g.funcs = append(g.funcs, funcInfo{name: "fr", nparams: 2, restrict: true})
 		}
 		// Pointer-param helpers: read and write through an int* argument,
@@ -303,13 +305,16 @@ func (g *Generator) program() (string, bool) {
 		np := 1 + g.intn(2)
 		for i := 0; i < np; i++ {
 			name := fmt.Sprintf("fp%d", i)
-			fmt.Fprintf(&b, "int %s(int *p, int y) { *p = *p + y * %d; return *p ^ %d; }\n",
+			fmt.Fprintf(&defs, "int %s(int *p, int y) { *p = *p + y * %d; return *p ^ %d; }\n",
 				name, 1+g.intn(3), g.intn(7))
 			g.funcs = append(g.funcs, funcInfo{name: name, nparams: 2, ptr: true})
 		}
 	}
 
-	// main: locals, pointers, statements, canonical return.
+	// main: locals, pointers, statements, canonical return. The
+	// declarations so far are set aside in head.
+	head := b.String()
+	b.Reset()
 	b.WriteString("int main(void) {\n")
 	nloc := 2 + g.intn(3)
 	for i := 0; i < nloc; i++ {
@@ -346,8 +351,27 @@ func (g *Generator) program() (string, bool) {
 		fmt.Fprintf(&b, "  for (int i = 0; i < %d; i++) h = h * 31 + %s[i];\n", a.n, a.name)
 	}
 	b.WriteString("  return (int)(h % 100003);\n}\n")
-	return b.String(), racy
+	main := b.String()
+
+	// Forward-defined helpers: a share of programs declare the helpers
+	// as prototypes and define them after main, so the pipeline sees
+	// callers before callees. Drawn last to leave the rest of the
+	// program's random stream untouched.
+	if defs.Len() > 0 && g.chance(forwardShare) {
+		var protos strings.Builder
+		for _, def := range strings.Split(defs.String(), "\n") {
+			if proto, _, ok := strings.Cut(def, " {"); ok {
+				protos.WriteString(proto + ";\n")
+			}
+		}
+		return head + protos.String() + main + defs.String(), racy
+	}
+	return head + defs.String() + main, racy
 }
+
+// forwardShare is the share of programs with helpers that define them
+// after main, behind prototypes.
+const forwardShare = 0.3
 
 // beginFullExpr resets the sequencing discipline for one full
 // expression, deciding whether it may race.

@@ -87,11 +87,10 @@ func dynPreserve(base Preserved, changed int) Preserved {
 // survive it. Cache hits and misses are counted per analysis and
 // exported as analysis/cache_hits / analysis/cache_misses.
 type AnalysisManager struct {
-	mod     *ir.Module
-	fn      *ir.Func
-	opts    *Options
-	resolve func(string) *ir.Func
-	tel     *telemetry.Session
+	mod  *ir.Module
+	fn   *ir.Func
+	opts *Options
+	tel  *telemetry.Session
 
 	// mgr exists for the whole pipeline run (AA query statistics and
 	// audit attribution accumulate across passes); valid[AnalysisAA]
@@ -107,21 +106,16 @@ type AnalysisManager struct {
 }
 
 // newAnalysisManager builds the manager for one function's pipeline
-// run. resolve supplies callee bodies for inlining (nil = the live
-// module). sums is the module's pre-pipeline interprocedural summary
-// table (nil = calls stay clobber-everything barriers); it is computed
-// once before the function pipelines start and read-only here, which
-// keeps -j1 and -jN byte-identical.
-func newAnalysisManager(mod *ir.Module, fn *ir.Func, opts *Options, resolve func(string) *ir.Func, sums *aa.Summaries) *AnalysisManager {
+// run. sums is the module's pre-pipeline interprocedural summary table
+// (nil = calls stay clobber-everything barriers); it is computed once
+// before the function pipelines start and read-only here, which keeps
+// -j1 and -jN byte-identical.
+func newAnalysisManager(mod *ir.Module, fn *ir.Func, opts *Options, sums *aa.Summaries) *AnalysisManager {
 	am := &AnalysisManager{
-		mod:     mod,
-		fn:      fn,
-		opts:    opts,
-		resolve: resolve,
-		tel:     opts.Telemetry,
-	}
-	if am.resolve == nil && mod != nil {
-		am.resolve = mod.FindFunc
+		mod:  mod,
+		fn:   fn,
+		opts: opts,
+		tel:  opts.Telemetry,
 	}
 	am.mgr = aa.NewManager(fn, opts.UseUnseqAA)
 	am.mgr.AttachAudit(am.tel, mod, fn.Name)
@@ -143,14 +137,6 @@ func (am *AnalysisManager) Options() *Options { return am.opts }
 // Telemetry returns the session passes report spans/remarks to (nil is
 // the no-op session).
 func (am *AnalysisManager) Telemetry() *telemetry.Session { return am.tel }
-
-// Resolve maps a callee name to its body for inlining.
-func (am *AnalysisManager) Resolve(name string) *ir.Func {
-	if am.resolve == nil {
-		return nil
-	}
-	return am.resolve(name)
-}
 
 func (am *AnalysisManager) touch(id AnalysisID) bool {
 	if am.valid[id] {
@@ -261,11 +247,9 @@ func (p ModulePreserved) Has(id ModuleAnalysisID) bool { return p&(1<<id) != 0 }
 // ModuleAnalyses lazily computes and caches module-scoped analyses —
 // the AnalysisManager's module-level tier. Unlike the per-function
 // manager it must be safe for concurrent use: the -j scheduler's
-// workers share one instance. Determinism note: RunModule forces both
-// analyses eagerly *before* the function pipelines start, so every
-// worker reads the same pre-pipeline snapshot regardless of
-// scheduling; laziness only serves ad-hoc consumers (debug dumps,
-// tests).
+// workers share one instance. RunModule computes the analyses it needs
+// before the function pipelines start, so the summaries every worker
+// reads are the pre-pipeline table.
 type ModuleAnalyses struct {
 	mod *ir.Module
 
@@ -322,23 +306,6 @@ func (ma *ModuleAnalyses) Summaries() *aa.Summaries {
 	return ma.sums
 }
 
-// SnapshotSummaries returns the most recently computed table without
-// recomputing, even if a later Invalidate marked it stale — the dump
-// consumers (-print-summaries) want exactly what the pipelines
-// consumed. Nil if never computed.
-func (ma *ModuleAnalyses) SnapshotSummaries() *aa.Summaries {
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
-	return ma.sums
-}
-
-// SnapshotCallGraph is SnapshotSummaries' call-graph counterpart.
-func (ma *ModuleAnalyses) SnapshotCallGraph() *CallGraph {
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
-	return ma.cg
-}
-
 // Invalidate drops every module analysis not in p. RunModule calls it
 // with ModulePreserveNone after a run whose stats show the call graph
 // was edited (inlined calls or deleted functions); a consumer that
@@ -351,8 +318,8 @@ func (ma *ModuleAnalyses) Invalidate(p ModulePreserved) {
 			ma.valid[id] = false
 		}
 	}
-	// ma.keys survives: FuncKeys is defined as a pre-pipeline snapshot
-	// (like SnapshotSummaries), not a live analysis.
+	// ma.keys survives: FuncKeys is defined as a pre-pipeline snapshot,
+	// not a live analysis.
 }
 
 // record exports hit/miss counters under the module_analysis/

@@ -7,14 +7,14 @@ import (
 	"repro/internal/ir"
 )
 
-// CallGraph is the module's static call graph, shared by the -j
-// scheduler (reachability decides which callee bodies must be finished
-// vs. snapshotted) and the bottom-up summary pass (SCC order decides
-// when a callee's mod/ref facts are final). Edges come from direct
-// calls and from function references used as values in the original
-// (pre-pipeline) bodies; optimization never introduces a callee outside
-// this closure, because inlining only splices bodies of functions the
-// graph already reaches.
+// CallGraph is the module's static call graph, shared by the pipeline
+// scheduler and the bottom-up summary pass: both walk its SCCs callees
+// first, so a callee's optimized body (for the inliner) and its mod/ref
+// facts (for the summaries) are final before any caller outside its SCC
+// reads them. Edges come from direct calls and from function references
+// used as values in the original (pre-pipeline) bodies; optimization
+// never introduces a callee outside this closure, because inlining only
+// splices bodies of functions the graph already reaches.
 type CallGraph struct {
 	mod *ir.Module
 	idx map[string]int
@@ -104,7 +104,9 @@ func (cg *CallGraph) Index(name string) int {
 
 // computeSCCs runs Tarjan's algorithm. The natural emission order of
 // Tarjan — a component is emitted only after every component it can
-// reach — is exactly the bottom-up order the summary pass needs.
+// reach — is exactly the bottom-up order the scheduler and the summary
+// pass need. Roots are tried in module order, so when every callee is
+// defined before its callers the order is plain source order.
 func (cg *CallGraph) computeSCCs() {
 	n := len(cg.Nodes)
 	index := make([]int, n)
@@ -209,7 +211,7 @@ func (cg *CallGraph) BottomUp() [][]*ir.Func {
 
 // Reachable returns, for every function index, the set of function
 // indices transitively reachable through the graph's edges — the
-// visibility relation the -j scheduler orders workers by.
+// callees whose summaries and bodies a function's FuncKey folds in.
 func (cg *CallGraph) Reachable() []map[int]struct{} {
 	n := len(cg.Nodes)
 	reach := make([]map[int]struct{}, n)

@@ -13,18 +13,13 @@ import (
 // everywhere, which is also why the cost model carries an icache penalty
 // for oversized functions.
 //
-// resolve supplies the callee body to splice. The parallel scheduler
-// passes a resolver that reproduces sequential pipeline order — the
-// already-optimized body for functions the sequential pipeline would
-// have finished, a pre-pipeline snapshot otherwise — so inlining reads
-// no function another worker may be mutating. A nil resolve falls back
-// to the live module.
-func inlineCalls(mod *ir.Module, resolve func(string) *ir.Func, f *ir.Func, threshold int, tel *telemetry.Session) int {
-	if mod == nil && resolve == nil {
+// Callee bodies come from the live module. The scheduler runs the call
+// graph's SCCs bottom-up, so a callee outside f's SCC has already been
+// optimized and no worker mutates it any more; a callee inside f's SCC
+// runs on the same worker as f.
+func inlineCalls(mod *ir.Module, f *ir.Func, threshold int, tel *telemetry.Session) int {
+	if mod == nil {
 		return 0
-	}
-	if resolve == nil {
-		resolve = mod.FindFunc
 	}
 	inlined := 0
 	for bi := 0; bi < len(f.Blocks); bi++ {
@@ -34,7 +29,7 @@ func inlineCalls(mod *ir.Module, resolve func(string) *ir.Func, f *ir.Func, thre
 			if in.Op != ir.OpCall || in.Callee == "" || in.Callee == f.Name {
 				continue
 			}
-			callee := resolve(in.Callee)
+			callee := mod.FindFunc(in.Callee)
 			if callee == nil || len(callee.Blocks) == 0 {
 				continue
 			}

@@ -251,3 +251,45 @@ func TestCallGraphStringShape(t *testing.T) {
 		}
 	}
 }
+
+// sccScheduleSrc mixes every shape the bottom-up scheduler orders: a
+// mutually recursive SCC, callees defined after their callers, a shared
+// leaf, and independent SCCs that can run in parallel.
+const sccScheduleSrc = `
+int g;
+int odd(int n);
+int twice(int *p);
+int leaf(int *p, int k);
+int even(int n) { if (n == 0) { g = g + 1; return 1; } return odd(n - 1) + twice(&g); }
+int odd(int n) { if (n == 0) return 0; return even(n - 1); }
+int user(int *a, int *b) { return twice(a) + leaf(b, 3); }
+int twice(int *p) { return leaf(p, 1) + leaf(p, 2); }
+int leaf(int *p, int k) { *p = *p + k; return *p; }
+int lone(int x) { return x * 7 + 1; }
+int main(void) { int x = 1, y = 2; return even(4) + user(&x, &y) + lone(x); }
+`
+
+// TestSCCScheduleJobsIdentical: the parallel SCC scheduler must produce
+// the sequential loop's module and stats byte for byte.
+func TestSCCScheduleJobsIdentical(t *testing.T) {
+	run := func(jobs int) (string, Stats) {
+		mod := benchModule(t, sccScheduleSrc)
+		opts := DefaultOptions()
+		opts.Jobs = jobs
+		st, err := RunModule(mod, opts, nil)
+		if err != nil {
+			t.Fatalf("RunModule(jobs=%d): %v", jobs, err)
+		}
+		return mod.String(), st
+	}
+	ir1, st1 := run(1)
+	if st1.CallsInlined == 0 {
+		t.Error("nothing inlined; the schedule is not exercised")
+	}
+	for _, jobs := range []int{2, 4, 8} {
+		irN, stN := run(jobs)
+		if irN != ir1 || stN != st1 {
+			t.Errorf("-j %d differs from -j 1 (stats %v vs %v)", jobs, stN, st1)
+		}
+	}
+}

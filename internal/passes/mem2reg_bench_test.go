@@ -66,7 +66,7 @@ func BenchmarkMem2Reg(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				clone := ir.CloneFunc(fn)
-				am := newAnalysisManager(mod, clone, &opts, nil, nil)
+				am := newAnalysisManager(mod, clone, &opts, nil)
 				b.StartTimer()
 				mem2reg(clone, am)
 			}

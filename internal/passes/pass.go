@@ -103,11 +103,11 @@ type Options struct {
 	MemcheckThreshold int
 	// MaxIterations bounds the cleanup fixpoint.
 	MaxIterations int
-	// Jobs bounds the per-function pipeline worker pool: the middle-end
-	// is function-local, so RunModule shards it across Jobs workers with
-	// output merged in original function order (byte-identical to a
+	// Jobs bounds the per-function pipeline worker pool. RunModule runs
+	// the call graph's SCCs bottom-up, callees first, across Jobs
+	// workers, and merges output in that same order (byte-identical to a
 	// sequential run regardless of scheduling). 0 = GOMAXPROCS; 1 runs
-	// the plain sequential path, the differential-testing oracle.
+	// the plain sequential loop, the differential-testing oracle.
 	Jobs int
 	// Telemetry receives per-pass spans and optimization remarks. Nil
 	// (the default) is a zero-overhead no-op sink.
@@ -160,12 +160,13 @@ func DefaultOptions() Options {
 // RunModule optimizes every function with the configured pipeline
 // (opts.Pipeline, default DefaultPipeline) and returns aggregate
 // statistics. AA query statistics accumulate into aaStats if non-nil.
-// The per-function pipeline is sharded across opts.Jobs workers (see
-// Options.Jobs); results merge in original function order, so the
-// output is independent of scheduling. Errors come from opts.VerifyEach
-// findings and from pass panics recovered into *PanicError; failures
-// are contained to their function and aggregate with errors.Join in
-// source order — the remaining functions still run.
+// The per-function pipeline runs bottom-up over the call graph's SCCs,
+// sharded across opts.Jobs workers (see Options.Jobs); results merge in
+// that bottom-up order, so the output is independent of scheduling.
+// Errors come from opts.VerifyEach findings and from pass panics
+// recovered into *PanicError; failures are contained to their function
+// and aggregate with errors.Join in the same order — the remaining
+// functions still run.
 func RunModule(mod *ir.Module, opts Options, aaStats *aa.Stats) (Stats, error) {
 	var total Stats
 	if opts.OptLevel == 0 {
@@ -186,22 +187,22 @@ func RunModule(mod *ir.Module, opts Options, aaStats *aa.Stats) (Stats, error) {
 	for _, f := range mod.Funcs {
 		sizes[f.Name] = f.NumInstrs()
 	}
-	// Module-level analyses run eagerly against the pre-pipeline module
-	// so every worker — at any job count — consumes the same snapshot.
+	// Module-level analyses run against the pre-pipeline module: the
+	// call graph orders the scheduler, and the summaries and FuncKeys are
+	// pre-pipeline by definition.
 	ma := opts.ModuleAnalyses
 	if ma == nil {
 		ma = NewModuleAnalyses(mod)
 	}
+	cg := ma.CallGraph()
 	var sums *aa.Summaries
 	if opts.InterprocSummaries {
 		sums = ma.Summaries()
-	} else {
-		ma.CallGraph() // the scheduler needs reachability either way
 	}
 	if opts.WantFuncKeys {
 		ma.FuncKeys()
 	}
-	total, err := runFuncs(mod, opts, aaStats, ma, sums)
+	total, err := runFuncs(mod, opts, aaStats, cg, sums)
 	ma.record(opts.Telemetry)
 	if err != nil {
 		return total, err
@@ -210,8 +211,8 @@ func RunModule(mod *ir.Module, opts Options, aaStats *aa.Stats) (Stats, error) {
 	if total.CallsInlined > 0 || total.FuncsDeleted > 0 {
 		// The inliner/DCE edited the call graph: whoever consumes the
 		// module analyses next (a second RunModule, a live dump of the
-		// post-pipeline graph) must recompute them. The pre-pipeline
-		// snapshots (SnapshotSummaries, FuncKeys) survive by design.
+		// post-pipeline graph) must recompute them. FuncKeys, a
+		// pre-pipeline snapshot, survives by design.
 		ma.Invalidate(ModulePreserveNone)
 	}
 	return total, nil
@@ -258,13 +259,11 @@ func removeDeadFuncs(mod *ir.Module, sizes map[string]int, inlined bool) int {
 	return deleted
 }
 
-// runFunc runs the pipeline on one function. resolve supplies callee
-// bodies for inlining (nil = the live module; the parallel scheduler
-// passes a snapshot-aware resolver). A panic anywhere in the pipeline
-// is recovered into a *PanicError attributing the executing pass and
-// function, so one broken pass fails this function instead of the
-// whole process.
-func runFunc(mod *ir.Module, f *ir.Func, opts Options, aaStats *aa.Stats, resolve func(string) *ir.Func, sums *aa.Summaries) (st Stats, err error) {
+// runFunc runs the pipeline on one function. A panic anywhere in the
+// pipeline is recovered into a *PanicError attributing the executing
+// pass and function, so one broken pass fails this function instead of
+// the whole process.
+func runFunc(mod *ir.Module, f *ir.Func, opts Options, aaStats *aa.Stats, sums *aa.Summaries) (st Stats, err error) {
 	tel := opts.Telemetry
 	if tel.TraceEnabled() {
 		// Per-function span (trace-only: too high-cardinality for the
@@ -275,7 +274,7 @@ func runFunc(mod *ir.Module, f *ir.Func, opts Options, aaStats *aa.Stats, resolv
 	if pipe == nil {
 		pipe = DefaultPipeline()
 	}
-	am := newAnalysisManager(mod, f, &opts, resolve, sums)
+	am := newAnalysisManager(mod, f, &opts, sums)
 	inst := instrumentationFor(&opts)
 	defer func() {
 		if r := recover(); r != nil {

@@ -165,7 +165,7 @@ type inlinePass struct{}
 
 func (inlinePass) Name() string { return "inline" }
 func (inlinePass) Run(f *ir.Func, am *AnalysisManager) (Stats, Preserved) {
-	n := inlineCalls(am.Module(), am.Resolve, f, am.Options().InlineThreshold, am.Telemetry())
+	n := inlineCalls(am.Module(), f, am.Options().InlineThreshold, am.Telemetry())
 	return Stats{CallsInlined: n}, dynPreserve(PreserveNone, n)
 }
 

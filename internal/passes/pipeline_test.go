@@ -90,7 +90,7 @@ func amForTest(t *testing.T) *AnalysisManager {
 		t.Fatal("no sum function")
 	}
 	opts := DefaultOptions()
-	return newAnalysisManager(mod, f, &opts, nil, nil)
+	return newAnalysisManager(mod, f, &opts, nil)
 }
 
 // TestAnalysisManagerPreservedKeepsCache: an analysis in a pass's

@@ -12,18 +12,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The middle-end is function-local, so RunModule shards the per-function
-// pipeline across a bounded worker pool. The only cross-function reads
-// are (a) callee effect summaries — the immutable ReadNone bit, safe on
-// the live module — and (b) callee bodies spliced by the inliner. The
-// scheduler makes (b) both race-free and deterministic by reproducing
-// the sequential pipeline's visibility rule: when function i runs, every
-// function j < i it can transitively reach has already finished (a DAG
-// dependency), and every reachable j >= i is read from an immutable
-// pre-pipeline snapshot — exactly the state the sequential loop would
-// have observed. Results (stats, AA counters, telemetry forks) merge in
-// original function order, so IR, remarks, and metrics are byte-stable
-// regardless of worker count or interleaving.
+// The middle-end is function-local except for the inliner, which splices
+// callee bodies into their callers. RunModule therefore schedules the
+// per-function pipeline bottom-up over the call graph's strongly
+// connected components, the way LLVM's CGSCC pass manager does: an SCC
+// starts only once every SCC it calls has finished, and the members of
+// one SCC run in order on one worker. Every callee outside the caller's
+// SCC is then final and no longer mutated, so the inliner reads the live
+// module and always splices the optimized body, whatever the order of
+// function definitions. Results (stats, AA counters, telemetry forks)
+// merge in the same flattened bottom-up order the sequential loop runs
+// in, so IR, remarks, and metrics are byte-stable regardless of worker
+// count or interleaving.
 
 // funcResult collects one function's pipeline output for ordered fan-in.
 type funcResult struct {
@@ -33,31 +33,33 @@ type funcResult struct {
 	err   error
 }
 
-// runFuncs optimizes every function in mod, fanning out across
-// opts.Jobs workers (0 = GOMAXPROCS). Jobs == 1 runs the plain
-// sequential loop — the differential-testing oracle the parallel path
-// must match byte-for-byte. Failures (verify-each findings and
-// recovered pass panics) do not stop the other functions: every
-// function runs, and the errors aggregate with errors.Join in source
-// order, so -j 1 and -j N report the same failures in the same order.
-func runFuncs(mod *ir.Module, opts Options, aaStats *aa.Stats, ma *ModuleAnalyses, sums *aa.Summaries) (Stats, error) {
+// runFuncs optimizes every function in mod in cg's bottom-up SCC order,
+// fanning the SCCs out across opts.Jobs workers (0 = GOMAXPROCS). Jobs
+// == 1 runs the plain sequential loop over the same order — the
+// differential-testing oracle the parallel path must match
+// byte-for-byte. Failures (verify-each findings and recovered pass
+// panics) do not stop the other functions: every function runs, and the
+// errors aggregate with errors.Join in that order, so -j 1 and -j N
+// report the same failures in the same order.
+func runFuncs(mod *ir.Module, opts Options, aaStats *aa.Stats, cg *CallGraph, sums *aa.Summaries) (Stats, error) {
 	var total Stats
-	n := len(mod.Funcs)
-	if n == 0 {
-		return total, nil
+	sccs := cg.SCCs()
+	order := make([]int, 0, len(mod.Funcs))
+	for _, comp := range sccs {
+		order = append(order, comp...)
 	}
 	jobs := opts.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > n {
-		jobs = n
+	if jobs > len(sccs) {
+		jobs = len(sccs)
 	}
-	if jobs == 1 || n == 1 {
-		errs := make([]error, 0, n)
-		for _, f := range mod.Funcs {
+	if jobs <= 1 {
+		errs := make([]error, 0, len(order))
+		for _, i := range order {
 			start := time.Now()
-			st, err := runFunc(mod, f, opts, aaStats, nil, sums)
+			st, err := runFunc(mod, mod.Funcs[i], opts, aaStats, sums)
 			opts.Telemetry.AddLaneBusy(time.Since(start))
 			total.Add(st)
 			errs = append(errs, err)
@@ -65,93 +67,64 @@ func runFuncs(mod *ir.Module, opts Options, aaStats *aa.Stats, ma *ModuleAnalyse
 		return total, errors.Join(errs...)
 	}
 
-	// The shared call graph supplies the reachability relation (it was
-	// built from the pre-pipeline bodies in RunModule, before any worker
-	// could mutate a function).
-	cg := ma.SnapshotCallGraph()
-	if cg == nil {
-		cg = ma.CallGraph()
-	}
-	idx := make(map[string]int, n)
-	for i, f := range mod.Funcs {
-		idx[f.Name] = i
-	}
-	reach := cg.Reachable()
-
-	// deps[i] = reachable functions with a smaller index: those the
-	// sequential pipeline would have finished before starting i, so the
-	// inliner must see their final bodies. Larger-index reachable
-	// functions are snapshotted pre-pipeline instead.
-	depCount := make([]int32, n)
-	dependents := make([][]int, n)
-	orig := make([]*ir.Func, n)
-	for i := 0; i < n; i++ {
-		for j := range reach[i] {
-			if j < i {
-				depCount[i]++
-				dependents[j] = append(dependents[j], i)
-			} else if j > i && orig[j] == nil {
-				orig[j] = ir.CloneFunc(mod.Funcs[j])
+	// pending[s] counts the call edges from s into other SCCs; callers[d]
+	// lists the caller SCC once per such edge into d, so finishing d
+	// releases exactly the edges it owes.
+	pending := make([]atomic.Int32, len(sccs))
+	callers := make([][]int, len(sccs))
+	for s, comp := range sccs {
+		for _, v := range comp {
+			for _, c := range cg.Nodes[v].Callees {
+				if d := cg.Nodes[c].SCC; d != s {
+					pending[s].Add(1)
+					callers[d] = append(callers[d], s)
+				}
 			}
-		}
-	}
-
-	resolveFor := func(i int) func(string) *ir.Func {
-		return func(name string) *ir.Func {
-			j, ok := idx[name]
-			if !ok {
-				return nil
-			}
-			if j < i {
-				return mod.Funcs[j] // finished: dependency-ordered
-			}
-			// Pre-pipeline snapshot; nil (never inlined) only if the
-			// call graph said i cannot reach j — then the pipeline
-			// never asks for it.
-			return orig[j]
 		}
 	}
 
 	tel := opts.Telemetry
-	results := make([]funcResult, n)
-	ready := make(chan int, n)
-	for i := 0; i < n; i++ {
-		if depCount[i] == 0 {
-			ready <- i
+	results := make([]funcResult, len(mod.Funcs))
+	ready := make(chan int, len(sccs))
+	for s := range sccs {
+		if pending[s].Load() == 0 {
+			ready <- s
 		}
 	}
-	var done int32
+	var done atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(jobs)
 	for w := 0; w < jobs; w++ {
 		go func(lane int) {
 			defer wg.Done()
-			for i := range ready {
-				r := &results[i]
-				// The per-function work runs inside a recover shield:
-				// runFunc recovers pass panics itself, but a panic in
-				// the scheduling shell (telemetry forks, clone
-				// resolution) must still not take down the pool or
-				// strand dependents waiting on this function.
-				func() {
-					defer func() {
-						if rec := recover(); rec != nil {
-							r.err = newPanicError(mod.Funcs[i].Name, "", rec)
-						}
+			for s := range ready {
+				for _, i := range sccs[s] {
+					r := &results[i]
+					// The per-function work runs inside a recover shield:
+					// runFunc recovers pass panics itself, but a panic in
+					// the scheduling shell (telemetry forks) must still
+					// not take down the pool or strand callers waiting on
+					// this SCC.
+					func() {
+						defer func() {
+							if rec := recover(); rec != nil {
+								r.err = newPanicError(mod.Funcs[i].Name, "", rec)
+							}
+						}()
+						o := opts
+						o.Telemetry = tel.ForkLane(lane)
+						r.tel = o.Telemetry
+						start := time.Now()
+						r.stats, r.err = runFunc(mod, mod.Funcs[i], o, &r.aa, sums)
+						o.Telemetry.AddLaneBusy(time.Since(start))
 					}()
-					o := opts
-					o.Telemetry = tel.ForkLane(lane)
-					r.tel = o.Telemetry
-					start := time.Now()
-					r.stats, r.err = runFunc(mod, mod.Funcs[i], o, &r.aa, resolveFor(i), sums)
-					o.Telemetry.AddLaneBusy(time.Since(start))
-				}()
-				for _, d := range dependents[i] {
-					if atomic.AddInt32(&depCount[d], -1) == 0 {
-						ready <- d
+				}
+				for _, c := range callers[s] {
+					if pending[c].Add(-1) == 0 {
+						ready <- c
 					}
 				}
-				if atomic.AddInt32(&done, 1) == int32(n) {
+				if done.Add(1) == int32(len(sccs)) {
 					close(ready)
 				}
 			}
@@ -159,11 +132,11 @@ func runFuncs(mod *ir.Module, opts Options, aaStats *aa.Stats, ma *ModuleAnalyse
 	}
 	wg.Wait()
 
-	// Fan-in strictly in original function order: telemetry names
-	// register in the same sequence a sequential run would produce, and
-	// errors aggregate exactly as the sequential loop reports them.
-	errs := make([]error, 0, n)
-	for i := range results {
+	// Fan-in in the sequential loop's order: telemetry names register in
+	// the same sequence a sequential run would produce, and errors
+	// aggregate exactly as the sequential loop reports them.
+	errs := make([]error, 0, len(order))
+	for _, i := range order {
 		total.Add(results[i].stats)
 		if aaStats != nil {
 			aaStats.Add(results[i].aa)

@@ -105,7 +105,7 @@ func CheckWith(name, src string, files map[string]string, entry string,
 	if entry == "" {
 		entry = "main"
 	}
-	stop := tel.Span("phase/interp")
+	stop := tel.Span("phase/run")
 	res, err := m.RunArgs(entry)
 	stop()
 	m.Report(tel)
