@@ -1,7 +1,7 @@
 package passes
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/aa"
 	"repro/internal/ir"
@@ -24,7 +24,7 @@ type availMem struct {
 // insertion order of the live entries is preserved.
 type memEntry struct {
 	ptr  ir.Value
-	e    *availMem
+	e    availMem
 	dead bool
 }
 
@@ -33,34 +33,41 @@ type memEntry struct {
 // those queries in a deterministic order — a plain map's random range
 // order would make the -aa-audit artifact differ run to run.
 type memTable struct {
-	entries []*memEntry
-	byPtr   map[ir.Value]*memEntry // live entries only
+	entries []memEntry
+	byPtr   map[ir.Value]int // live entries only: index into entries
 }
 
 func newMemTable() *memTable {
-	return &memTable{byPtr: map[ir.Value]*memEntry{}}
+	return &memTable{byPtr: map[ir.Value]int{}}
 }
 
+// reset empties the table, keeping its storage for the next block.
+func (t *memTable) reset() {
+	clear(t.entries)
+	t.entries = t.entries[:0]
+	clear(t.byPtr)
+}
+
+// get returns p's entry; the pointer is valid until the next put.
 func (t *memTable) get(p ir.Value) (*availMem, bool) {
-	if en, ok := t.byPtr[p]; ok {
-		return en.e, true
+	if i, ok := t.byPtr[p]; ok {
+		return &t.entries[i].e, true
 	}
 	return nil, false
 }
 
-func (t *memTable) put(p ir.Value, e *availMem) {
-	if en, ok := t.byPtr[p]; ok {
-		en.e = e
+func (t *memTable) put(p ir.Value, e availMem) {
+	if i, ok := t.byPtr[p]; ok {
+		t.entries[i].e = e
 		return
 	}
-	en := &memEntry{ptr: p, e: e}
-	t.byPtr[p] = en
-	t.entries = append(t.entries, en)
+	t.byPtr[p] = len(t.entries)
+	t.entries = append(t.entries, memEntry{ptr: p, e: e})
 }
 
 func (t *memTable) del(p ir.Value) {
-	if en, ok := t.byPtr[p]; ok {
-		en.dead = true
+	if i, ok := t.byPtr[p]; ok {
+		t.entries[i].dead = true
 		delete(t.byPtr, p)
 	}
 }
@@ -75,14 +82,20 @@ func (t *memTable) del(p ir.Value) {
 func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Session) int {
 	defer mgr.SetPass(mgr.SetPass("earlycse"))
 	removed := 0
+	// The block-local tables are cleared per block, not reallocated.
+	avail := map[pureKey]*ir.Instr{} // pure value numbering
+	loads := newMemTable()           // ptr -> load instr providing value
+	stored := newMemTable()          // ptr -> last stored value
+	seenFacts := map[[2]ir.Value]bool{}
 	for _, b := range f.Blocks {
-		avail := map[string]*ir.Instr{} // pure value numbering
-		loads := newMemTable()          // ptr -> load instr providing value
-		stored := newMemTable()         // ptr -> last stored value
-		seenFacts := map[[2]ir.Value]bool{}
+		clear(avail)
+		loads.reset()
+		stored.reset()
+		clear(seenFacts)
 
 		invalidateTable := func(t *memTable, writePtr ir.Value, size int) {
-			for _, en := range t.entries {
+			for i := range t.entries {
+				en := &t.entries[i]
 				if en.dead {
 					continue
 				}
@@ -98,7 +111,8 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 		// invalidateCallTable drops only the entries the call's summary
 		// says it may write, instead of clearing the whole table.
 		invalidateCallTable := func(t *memTable, call *ir.Instr) {
-			for _, en := range t.entries {
+			for i := range t.entries {
+				en := &t.entries[i]
 				if en.dead {
 					continue
 				}
@@ -128,7 +142,10 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 			in := b.Instrs[i]
 			switch {
 			case isPureValueOp(in):
-				key := valueKey(in)
+				key, ok := valueKey(in)
+				if !ok {
+					continue
+				}
 				if prev, ok := avail[key]; ok {
 					replaceUses(f, in, prev)
 					removeAt(b, i)
@@ -169,12 +186,12 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					memRemark("LoadEliminated", e)
 					continue
 				}
-				loads.put(ptr, &availMem{load: in})
+				loads.put(ptr, availMem{load: in})
 
 			case in.Op == ir.OpStore && !in.Volatile:
 				ptr := in.Args[0]
 				invalidate(ptr, accessSize(in))
-				stored.put(ptr, &availMem{val: in.Args[1]})
+				stored.put(ptr, availMem{val: in.Args[1]})
 				loads.del(ptr)
 
 			case in.Op == ir.OpVecStore || in.Op == ir.OpMemset || in.Op == ir.OpMemcpy:
@@ -217,36 +234,91 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 	return removed
 }
 
-// valueKey builds a structural hash key for pure instructions.
-func valueKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d|%d|%d|%d|%d|%d|%t", in.Op, in.Cls, in.Scale, in.Off, in.Pred, in.VecOp, in.Unsigned)
-	for _, a := range in.Args {
-		key += "|" + argKey(a)
+// operandKind tags the kind of value an operandKey identifies.
+type operandKind uint8
+
+const (
+	operandNone   operandKind = iota // nil
+	operandInt                       // integer constant: n is the value, whatever its class
+	operandFloat                     // float constant: n is math.Float64bits of the value
+	operandGlobal                    // global: name
+	operandParam                     // parameter: n is its index
+	operandFunc                      // function reference: name
+	operandInstr                     // instruction result: n is its ID
+)
+
+// operandKey identifies an operand for value numbering: two operands are
+// the same value exactly when their keys are equal. Float constants are
+// keyed by bit pattern, so -0.0 and +0.0, and NaNs with different
+// payloads, stay distinct.
+type operandKey struct {
+	kind operandKind
+	n    int64
+	name string
+}
+
+func keyOf(a ir.Value) operandKey {
+	switch x := a.(type) {
+	case *ir.Const:
+		if x.Cls.IsFloat() {
+			return operandKey{kind: operandFloat, n: int64(math.Float64bits(x.F))}
+		}
+		return operandKey{kind: operandInt, n: x.I}
+	case *ir.Global:
+		return operandKey{kind: operandGlobal, name: x.Name}
+	case *ir.Param:
+		return operandKey{kind: operandParam, n: int64(x.Idx)}
+	case *ir.FuncRef:
+		return operandKey{kind: operandFunc, name: x.Name}
+	case *ir.Instr:
+		return operandKey{kind: operandInstr, n: int64(x.ID)}
 	}
-	return key
+	return operandKey{}
+}
+
+// pureKey is the value-numbering key of a pure instruction: the fields
+// that define its result, plus its operands. Pure ops take at most three
+// operands (OpSelect).
+type pureKey struct {
+	op, vecOp ir.Op
+	cls       ir.Class
+	scale     int
+	off       int
+	pred      ir.Pred
+	unsigned  bool
+	nargs     uint8
+	args      [3]operandKey
+}
+
+// valueKey builds the value-numbering key of a pure instruction. It
+// reports false for an instruction with more operands than the key holds,
+// which is then left alone.
+func valueKey(in *ir.Instr) (pureKey, bool) {
+	var k pureKey
+	if len(in.Args) > len(k.args) {
+		return k, false
+	}
+	k = pureKey{
+		op: in.Op, vecOp: in.VecOp, cls: in.Cls, scale: in.Scale, off: in.Off,
+		pred: in.Pred, unsigned: in.Unsigned, nargs: uint8(len(in.Args)),
+	}
+	for i, a := range in.Args {
+		k.args[i] = keyOf(a)
+	}
+	return k, true
 }
 
 // lessValue is an arbitrary-but-stable order on values for fact
 // normalization.
-func lessValue(a, b ir.Value) bool { return argKey(a) < argKey(b) }
-
-func argKey(a ir.Value) string {
-	switch x := a.(type) {
-	case *ir.Const:
-		if x.Cls.IsFloat() {
-			return fmt.Sprintf("cf%g", x.F)
-		}
-		return fmt.Sprintf("ci%d", x.I)
-	case *ir.Global:
-		return "g" + x.Name
-	case *ir.Param:
-		return fmt.Sprintf("p%d", x.Idx)
-	case *ir.FuncRef:
-		return "f" + x.Name
-	case *ir.Instr:
-		return fmt.Sprintf("v%d", x.ID)
+func lessValue(a, b ir.Value) bool {
+	x, y := keyOf(a), keyOf(b)
+	if x.kind != y.kind {
+		return x.kind < y.kind
 	}
-	return "?"
+	if x.n != y.n {
+		return x.n < y.n
+	}
+	return x.name < y.name
 }
 
 // instCombine folds algebraic identities and constant expressions; the

@@ -333,7 +333,7 @@ func emitRemark(tel *telemetry.Session, mgr *aa.Manager, pass, kind, fn, loc str
 
 // buildUses computes value -> using instructions.
 func buildUses(f *ir.Func) map[ir.Value][]*ir.Instr {
-	uses := make(map[ir.Value][]*ir.Instr)
+	uses := make(map[ir.Value][]*ir.Instr, f.NumInstrs())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {

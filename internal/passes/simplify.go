@@ -237,11 +237,13 @@ func setBlock(in *ir.Instr, b *ir.Block) {
 // whose operand would otherwise be dead is deleted along with it.
 func dce(f *ir.Func) int {
 	removed := 0
+	uses := map[ir.Value]int{}
+	// storeOnly tracks allocas used exclusively as store targets:
+	// both the stores and the slot are dead.
+	storeOnly := map[ir.Value]bool{}
 	for {
-		uses := map[ir.Value]int{}
-		// storeOnly tracks allocas used exclusively as store targets:
-		// both the stores and the slot are dead.
-		storeOnly := map[ir.Value]bool{}
+		clear(uses)
+		clear(storeOnly)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpAlloca {

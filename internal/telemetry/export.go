@@ -15,20 +15,8 @@ func WriteText(w io.Writer, snap *Snapshot) error {
 		return nil
 	}
 	if len(snap.Durations) > 0 {
-		fmt.Fprintln(w, "=== Phase timing (wall clock) ===")
-		var total time.Duration
-		for _, d := range snap.Durations {
-			total += d.Total()
-		}
-		for _, d := range snap.Durations {
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(d.TotalNS) / float64(total)
-			}
-			fmt.Fprintf(w, "  %-26s %12v  %5.1f%%  (%d× , max %v)\n",
-				d.Name, d.Total().Round(time.Microsecond), pct, d.Count,
-				time.Duration(d.MaxNS).Round(time.Microsecond))
-		}
+		fmt.Fprintln(w, "=== Phase timing (wall clock; nested spans as % of parent) ===")
+		writeSpanTree(w, snap.Durations)
 	}
 	if len(snap.Counters) > 0 {
 		fmt.Fprintln(w, "=== Counters ===")
@@ -57,6 +45,62 @@ func WriteText(w io.Writer, snap *Snapshot) error {
 		}
 	}
 	return nil
+}
+
+// spanParent names the span that encloses name, or "" for a top-level
+// span. A hierarchical name nests under its longest path prefix that was
+// also recorded (phase/parse/cpp under phase/parse), and pass/* spans
+// nest under phase/opt, the optimizer phase that runs them.
+func spanParent(name string, recorded map[string]bool) string {
+	for p := name; ; {
+		i := strings.LastIndexByte(p, '/')
+		if i < 0 {
+			break
+		}
+		p = p[:i]
+		if recorded[p] {
+			return p
+		}
+	}
+	if strings.HasPrefix(name, "pass/") && recorded["phase/opt"] {
+		return "phase/opt"
+	}
+	return ""
+}
+
+// writeSpanTree prints the spans as a tree in first-seen order. Each
+// nested span is indented under its parent and shown as a share of the
+// parent's time; top-level spans are shown as shares of their own sum,
+// so no time is counted twice.
+func writeSpanTree(w io.Writer, durs []DurationStat) {
+	recorded := make(map[string]bool, len(durs))
+	for _, d := range durs {
+		recorded[d.Name] = true
+	}
+	children := map[string][]DurationStat{}
+	var top time.Duration
+	for _, d := range durs {
+		p := spanParent(d.Name, recorded)
+		children[p] = append(children[p], d)
+		if p == "" {
+			top += d.Total()
+		}
+	}
+	var walk func(parent string, total time.Duration, depth int)
+	walk = func(parent string, total time.Duration, depth int) {
+		for _, d := range children[parent] {
+			pct := 0.0
+			if total > 0 {
+				pct = 100 * float64(d.TotalNS) / float64(total)
+			}
+			fmt.Fprintf(w, "  %*s%-*s %12v  %5.1f%%  (%d× , max %v)\n",
+				2*depth, "", max(26-2*depth, 0), d.Name,
+				d.Total().Round(time.Microsecond), pct, d.Count,
+				time.Duration(d.MaxNS).Round(time.Microsecond))
+			walk(d.Name, d.Total(), depth+1)
+		}
+	}
+	walk("", top, 0)
 }
 
 // WriteJSON renders a snapshot as machine-readable JSON.

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +190,77 @@ func BenchmarkNoopSpanAndCount(b *testing.B) {
 		stop := s.Span("phase/opt")
 		s.Count("aa/queries", 1)
 		stop()
+	}
+}
+
+// TestWriteTextSpanShares checks that -time-passes counts no time twice:
+// top-level spans are shares of their own sum, and nested spans
+// (phase/parse/cpp, pass/*) are indented shares of their parent.
+func TestWriteTextSpanShares(t *testing.T) {
+	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
+	snap := &Snapshot{Durations: []DurationStat{
+		{Name: "phase/parse", Count: 1, TotalNS: ms(200)},
+		{Name: "phase/parse/cpp", Count: 1, TotalNS: ms(50)},
+		{Name: "phase/parse/syntax", Count: 1, TotalNS: ms(150)},
+		{Name: "pass/earlycse", Count: 4, TotalNS: ms(250)},
+		{Name: "pass/licm", Count: 2, TotalNS: ms(125)},
+		{Name: "phase/opt", Count: 1, TotalNS: ms(500)},
+		{Name: "phase/run", Count: 1, TotalNS: ms(200)},
+		{Name: "phase/verify", Count: 1, TotalNS: ms(1)},
+	}}
+	var txt bytes.Buffer
+	if err := WriteText(&txt, snap); err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		indent int
+		pct    float64
+	}
+	rows := map[string]row{}
+	var order []string
+	topSum := 0.0
+	for _, line := range strings.Split(txt.String(), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		var pct float64
+		if _, err := fmt.Sscanf(f[2], "%f%%", &pct); err != nil {
+			t.Fatalf("no share in %q: %v", line, err)
+		}
+		r := row{indent: len(line) - len(strings.TrimLeft(line, " ")), pct: pct}
+		rows[f[0]] = r
+		order = append(order, f[0])
+		if r.indent == 2 {
+			topSum += pct
+		}
+	}
+	if math.Abs(topSum-100) > 0.1 {
+		t.Fatalf("top-level shares sum to %.2f%%, want 100:\n%s", topSum, txt.String())
+	}
+	want := map[string]row{
+		"phase/parse":        {2, 22.2},
+		"phase/parse/cpp":    {4, 25},
+		"phase/parse/syntax": {4, 75},
+		"phase/opt":          {2, 55.5},
+		"pass/earlycse":      {4, 50},
+		"pass/licm":          {4, 25},
+		"phase/run":          {2, 22.2},
+		"phase/verify":       {2, 0.1},
+	}
+	for name, w := range want {
+		if got, ok := rows[name]; !ok || got.indent != w.indent || math.Abs(got.pct-w.pct) > 0.05 {
+			t.Errorf("%s: got %+v, want %+v", name, got, w)
+		}
+	}
+	// Children print right under their parent, in first-seen order.
+	wantOrder := []string{"phase/parse", "phase/parse/cpp", "phase/parse/syntax",
+		"phase/opt", "pass/earlycse", "pass/licm", "phase/run", "phase/verify"}
+	if strings.Join(order, " ") != strings.Join(wantOrder, " ") {
+		t.Errorf("row order %v, want %v", order, wantOrder)
+	}
+	if t.Failed() {
+		t.Logf("report:\n%s", txt.String())
 	}
 }
 
