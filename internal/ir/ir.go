@@ -397,6 +397,12 @@ func (f *Func) Preds() map[*Block][]*Block {
 	return preds
 }
 
+// IDBound returns the next unused instruction ID. Every instruction ID
+// the function has issued is below it, and IDs are never reused, so
+// passes can index per-instruction side tables by ID; an instruction
+// appended later gets an ID at or above a bound read earlier.
+func (f *Func) IDBound() int { return f.nextID }
+
 // NumInstrs counts instructions across all blocks.
 func (f *Func) NumInstrs() int {
 	n := 0

@@ -19,7 +19,8 @@ const (
 	AnalysisDom AnalysisID = iota
 	// AnalysisLoops is the natural-loop forest (ir.FindLoops).
 	AnalysisLoops
-	// AnalysisUses is the value -> using-instructions map (buildUses).
+	// AnalysisUses is the ID-indexed instruction -> users table
+	// (useTable).
 	AnalysisUses
 	// AnalysisAA is the alias-analysis chain (aa.Manager), including the
 	// unseq-aa π fact table.
@@ -99,7 +100,7 @@ type AnalysisManager struct {
 	mgr   *aa.Manager
 	dom   *ir.DomTree
 	loops []*ir.Loop
-	uses  map[ir.Value][]*ir.Instr
+	uses  useTable
 	valid [numAnalyses]bool
 
 	hits, misses [numAnalyses]int64
@@ -165,14 +166,15 @@ func (am *AnalysisManager) Loops() []*ir.Loop {
 	return am.loops
 }
 
-// Uses returns the (cached) value -> using-instructions map. A pass
-// that mutates the function mid-run must call InvalidateUses before
-// re-acquiring it.
-func (am *AnalysisManager) Uses() map[ir.Value][]*ir.Instr {
+// Uses returns the (cached) instruction -> users table. A pass that
+// mutates the function mid-run must call InvalidateUses before
+// re-acquiring it. The table is rebuilt in place, so a table acquired
+// earlier is valid only until the next rebuild.
+func (am *AnalysisManager) Uses() *useTable {
 	if !am.touch(AnalysisUses) {
-		am.uses = buildUses(am.fn)
+		am.uses.build(am.fn)
 	}
-	return am.uses
+	return &am.uses
 }
 
 // AA returns the alias-analysis chain, refreshed against the current

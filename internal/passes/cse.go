@@ -24,6 +24,7 @@ type availMem struct {
 // insertion order of the live entries is preserved.
 type memEntry struct {
 	ptr  ir.Value
+	key  operandKey
 	e    availMem
 	dead bool
 }
@@ -31,14 +32,15 @@ type memEntry struct {
 // memTable is an insertion-ordered ptr -> availMem map. The invalidation
 // walk iterates it issuing alias queries, and the audit log must observe
 // those queries in a deterministic order — a plain map's random range
-// order would make the -aa-audit artifact differ run to run.
+// order would make the -aa-audit artifact differ run to run. Pointers
+// are keyed by their value-numbering operand key.
 type memTable struct {
 	entries []memEntry
-	byPtr   map[ir.Value]int // live entries only: index into entries
+	byPtr   map[operandKey]int32 // live entries only: index into entries
 }
 
 func newMemTable() *memTable {
-	return &memTable{byPtr: map[ir.Value]int{}}
+	return &memTable{byPtr: map[operandKey]int32{}}
 }
 
 // reset empties the table, keeping its storage for the next block.
@@ -48,27 +50,28 @@ func (t *memTable) reset() {
 	clear(t.byPtr)
 }
 
-// get returns p's entry; the pointer is valid until the next put.
-func (t *memTable) get(p ir.Value) (*availMem, bool) {
-	if i, ok := t.byPtr[p]; ok {
+// get returns the entry of the pointer keyed k; the pointer is valid
+// until the next put.
+func (t *memTable) get(k operandKey) (*availMem, bool) {
+	if i, ok := t.byPtr[k]; ok {
 		return &t.entries[i].e, true
 	}
 	return nil, false
 }
 
-func (t *memTable) put(p ir.Value, e availMem) {
-	if i, ok := t.byPtr[p]; ok {
+func (t *memTable) put(p ir.Value, k operandKey, e availMem) {
+	if i, ok := t.byPtr[k]; ok {
 		t.entries[i].e = e
 		return
 	}
-	t.byPtr[p] = len(t.entries)
-	t.entries = append(t.entries, memEntry{ptr: p, e: e})
+	t.byPtr[k] = int32(len(t.entries))
+	t.entries = append(t.entries, memEntry{ptr: p, key: k, e: e})
 }
 
-func (t *memTable) del(p ir.Value) {
-	if i, ok := t.byPtr[p]; ok {
+func (t *memTable) del(k operandKey) {
+	if i, ok := t.byPtr[k]; ok {
 		t.entries[i].dead = true
-		delete(t.byPtr, p)
+		delete(t.byPtr, k)
 	}
 }
 
@@ -78,10 +81,15 @@ func (t *memTable) del(p ir.Value) {
 // crucially this makes a CANT_ALIAS annotation's address computations the
 // very same IR values as the real accesses, so unseq-aa facts apply to
 // both. Loads are reused when no intervening instruction may write the
-// location; stores forward their value to subsequent loads.
+// location; stores forward their value to subsequent loads. Uses of an
+// eliminated instruction are forwarded (see forwarder) and swept into
+// the function before it returns.
 func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Session) int {
 	defer mgr.SetPass(mgr.SetPass("earlycse"))
 	removed := 0
+	fw := newForwarder(f)
+	defer fw.sweep()
+	vn := newValueNumbers()
 	// The block-local tables are cleared per block, not reallocated.
 	avail := map[pureKey]*ir.Instr{} // pure value numbering
 	loads := newMemTable()           // ptr -> load instr providing value
@@ -101,7 +109,7 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 				}
 				if writePtr == nil || mgr.Alias(aa.Location{Ptr: en.ptr, Size: 8},
 					aa.Location{Ptr: writePtr, Size: size}) != aa.NoAlias {
-					t.del(en.ptr)
+					t.del(en.key)
 				} else if att := mgr.Last(); att.UnseqDecided && !en.e.unseqKept {
 					en.e.unseqKept = true
 					en.e.meta = att.PredicateMeta
@@ -117,7 +125,7 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					continue
 				}
 				if mgr.CallModRef(call, aa.Location{Ptr: en.ptr, Size: 8})&aa.ModEffect != 0 {
-					t.del(en.ptr)
+					t.del(en.key)
 				} else if att := mgr.Last(); att.UnseqDecided && !en.e.unseqKept {
 					en.e.unseqKept = true
 					en.e.meta = att.PredicateMeta
@@ -140,14 +148,15 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
+			fw.visit(in)
 			switch {
 			case isPureValueOp(in):
-				key, ok := valueKey(in)
+				key, ok := vn.valueKey(in)
 				if !ok {
 					continue
 				}
 				if prev, ok := avail[key]; ok {
-					replaceUses(f, in, prev)
+					fw.forward(in, prev)
 					removeAt(b, i)
 					i--
 					removed++
@@ -157,7 +166,8 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 
 			case in.Op == ir.OpLoad && !in.Volatile:
 				ptr := in.Args[0]
-				if e, ok := stored.get(ptr); ok && e.val.Class() == in.Cls {
+				pk := vn.operand(ptr)
+				if e, ok := stored.get(pk); ok && e.val.Class() == in.Cls {
 					// Store-to-load forwarding. The slot narrows the value to
 					// the load width and the load re-extends per its own
 					// signedness; a stored value in a different canonical form
@@ -165,7 +175,7 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					// substituted directly — rewrite the load into the convert
 					// that replays that round-trip instead.
 					if v, exact := canonicalFor(e.val, in.Cls, in.Unsigned); exact {
-						replaceUses(f, in, v)
+						fw.forward(in, v)
 						removeAt(b, i)
 						i--
 					} else {
@@ -176,23 +186,24 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					memRemark("StoreForwarded", e)
 					continue
 				}
-				if e, ok := loads.get(ptr); ok && e.load.Cls == in.Cls &&
+				if e, ok := loads.get(pk); ok && e.load.Cls == in.Cls &&
 					(e.load.Unsigned == in.Unsigned || in.Cls == ir.I64 ||
 						in.Cls == ir.Ptr || in.Cls.IsFloat()) {
-					replaceUses(f, in, e.load)
+					fw.forward(in, e.load)
 					removeAt(b, i)
 					i--
 					removed++
 					memRemark("LoadEliminated", e)
 					continue
 				}
-				loads.put(ptr, availMem{load: in})
+				loads.put(ptr, pk, availMem{load: in})
 
 			case in.Op == ir.OpStore && !in.Volatile:
 				ptr := in.Args[0]
+				pk := vn.operand(ptr)
 				invalidate(ptr, accessSize(in))
-				stored.put(ptr, availMem{val: in.Args[1]})
-				loads.del(ptr)
+				stored.put(ptr, pk, availMem{val: in.Args[1]})
+				loads.del(pk)
 
 			case in.Op == ir.OpVecStore || in.Op == ir.OpMemset || in.Op == ir.OpMemcpy:
 				ptr, size := memLoc(in)
@@ -215,7 +226,7 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 				// many redundant copies).
 				a, c := in.Args[0], in.Args[1]
 				key := [2]ir.Value{a, c}
-				if a2, c2 := c, a; lessValue(a2, a) {
+				if a2, c2 := c, a; vn.less(a2, a) {
 					key = [2]ir.Value{a2, c2}
 				}
 				if seenFacts[key] {
@@ -234,30 +245,52 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 	return removed
 }
 
-// operandKind tags the kind of value an operandKey identifies.
-type operandKind uint8
+// operandKind tags the kind of value an operandKey identifies. It is a
+// full word, so keys have no padding and hash as plain memory.
+type operandKind int64
 
 const (
 	operandNone   operandKind = iota // nil
 	operandInt                       // integer constant: n is the value, whatever its class
 	operandFloat                     // float constant: n is math.Float64bits of the value
-	operandGlobal                    // global: name
+	operandGlobal                    // global: n is its interned name
 	operandParam                     // parameter: n is its index
-	operandFunc                      // function reference: name
+	operandFunc                      // function reference: n is its interned name
 	operandInstr                     // instruction result: n is its ID
 )
 
 // operandKey identifies an operand for value numbering: two operands are
 // the same value exactly when their keys are equal. Float constants are
 // keyed by bit pattern, so -0.0 and +0.0, and NaNs with different
-// payloads, stay distinct.
+// payloads, stay distinct. The key holds no pointer, so maps keyed by it
+// cost the garbage collector nothing to scan.
 type operandKey struct {
 	kind operandKind
 	n    int64
-	name string
 }
 
-func keyOf(a ir.Value) operandKey {
+// valueNumbers computes value-numbering keys for one earlyCSE call. It
+// interns global and function names, so two operands naming the same
+// global get the same key whether or not they are the same *ir.Global.
+type valueNumbers struct {
+	names map[string]int64
+}
+
+func newValueNumbers() *valueNumbers {
+	return &valueNumbers{names: map[string]int64{}}
+}
+
+func (vn *valueNumbers) intern(name string) int64 {
+	if n, ok := vn.names[name]; ok {
+		return n
+	}
+	n := int64(len(vn.names))
+	vn.names[name] = n
+	return n
+}
+
+// operand returns a's key.
+func (vn *valueNumbers) operand(a ir.Value) operandKey {
 	switch x := a.(type) {
 	case *ir.Const:
 		if x.Cls.IsFloat() {
@@ -265,11 +298,11 @@ func keyOf(a ir.Value) operandKey {
 		}
 		return operandKey{kind: operandInt, n: x.I}
 	case *ir.Global:
-		return operandKey{kind: operandGlobal, name: x.Name}
+		return operandKey{kind: operandGlobal, n: vn.intern(x.Name)}
 	case *ir.Param:
 		return operandKey{kind: operandParam, n: int64(x.Idx)}
 	case *ir.FuncRef:
-		return operandKey{kind: operandFunc, name: x.Name}
+		return operandKey{kind: operandFunc, n: vn.intern(x.Name)}
 	case *ir.Instr:
 		return operandKey{kind: operandInstr, n: int64(x.ID)}
 	}
@@ -278,47 +311,45 @@ func keyOf(a ir.Value) operandKey {
 
 // pureKey is the value-numbering key of a pure instruction: the fields
 // that define its result, plus its operands. Pure ops take at most three
-// operands (OpSelect).
+// operands (OpSelect). Opcodes fit in 16 bits and classes and predicates
+// in 8; the fields are laid out without padding, so the key hashes as
+// plain memory.
 type pureKey struct {
-	op, vecOp ir.Op
-	cls       ir.Class
-	scale     int
-	off       int
-	pred      ir.Pred
-	unsigned  bool
-	nargs     uint8
-	args      [3]operandKey
+	scale, off int64
+	op, vecOp  uint16
+	cls, pred  uint8
+	unsigned   bool
+	nargs      uint8
+	args       [3]operandKey
 }
 
 // valueKey builds the value-numbering key of a pure instruction. It
 // reports false for an instruction with more operands than the key holds,
 // which is then left alone.
-func valueKey(in *ir.Instr) (pureKey, bool) {
+func (vn *valueNumbers) valueKey(in *ir.Instr) (pureKey, bool) {
 	var k pureKey
 	if len(in.Args) > len(k.args) {
 		return k, false
 	}
 	k = pureKey{
-		op: in.Op, vecOp: in.VecOp, cls: in.Cls, scale: in.Scale, off: in.Off,
-		pred: in.Pred, unsigned: in.Unsigned, nargs: uint8(len(in.Args)),
+		scale: int64(in.Scale), off: int64(in.Off),
+		op: uint16(in.Op), vecOp: uint16(in.VecOp), cls: uint8(in.Cls), pred: uint8(in.Pred),
+		unsigned: in.Unsigned, nargs: uint8(len(in.Args)),
 	}
 	for i, a := range in.Args {
-		k.args[i] = keyOf(a)
+		k.args[i] = vn.operand(a)
 	}
 	return k, true
 }
 
-// lessValue is an arbitrary-but-stable order on values for fact
+// less is an arbitrary-but-stable order on values for fact
 // normalization.
-func lessValue(a, b ir.Value) bool {
-	x, y := keyOf(a), keyOf(b)
+func (vn *valueNumbers) less(a, b ir.Value) bool {
+	x, y := vn.operand(a), vn.operand(b)
 	if x.kind != y.kind {
 		return x.kind < y.kind
 	}
-	if x.n != y.n {
-		return x.n < y.n
-	}
-	return x.name < y.name
+	return x.n < y.n
 }
 
 // instCombine folds algebraic identities and constant expressions; the
@@ -328,11 +359,17 @@ func lessValue(a, b ir.Value) bool {
 // behind, regardless of any aliasing knowledge.
 func instCombine(f *ir.Func) int {
 	combined := 0
+	// A folded instruction is forwarded to its value. The walk reads
+	// only the current instruction and, in removeNoopStores, earlier
+	// instructions of the same block, whose args are already resolved.
+	fw := newForwarder(f)
+	defer fw.sweep()
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
+			fw.resolveArgs(in)
 			if v := simplify(in); v != nil {
-				replaceUses(f, in, v)
+				fw.forward(in, v)
 				removeAt(b, i)
 				i--
 				combined++

@@ -129,7 +129,7 @@ func TestEarlyCSEValueKeys(t *testing.T) {
 var keySink pureKey
 
 // TestValueKeyAllocs pins value numbering as allocation-free, for every
-// operand kind.
+// operand kind, once the global and function names are interned.
 func TestValueKeyAllocs(t *testing.T) {
 	fn := &ir.Func{Name: "f", Ret: ir.Void}
 	b := fn.NewBlock("entry")
@@ -137,11 +137,30 @@ func TestValueKeyAllocs(t *testing.T) {
 		Args: []ir.Value{&ir.Param{Name: "p", Cls: ir.I64}, ir.ConstFloat(ir.F64, math.NaN())}})
 	sel := b.Append(&ir.Instr{Op: ir.OpSelect, Cls: ir.Ptr,
 		Args: []ir.Value{x, &ir.Global{Name: "g"}, &ir.FuncRef{Name: "h"}}})
+	vn := newValueNumbers()
 	if n := testing.AllocsPerRun(100, func() {
-		keySink, _ = valueKey(x)
-		keySink, _ = valueKey(sel)
+		keySink, _ = vn.valueKey(x)
+		keySink, _ = vn.valueKey(sel)
 	}); n != 0 {
 		t.Fatalf("valueKey allocates %v times per run", n)
+	}
+	// A fresh *ir.Global or *ir.FuncRef with an interned name reuses its
+	// number: the key is the same and building it allocates nothing.
+	sel2 := b.Append(&ir.Instr{Op: ir.OpSelect, Cls: ir.Ptr,
+		Args: []ir.Value{x, &ir.Global{Name: "g"}, &ir.FuncRef{Name: "h"}}})
+	if n := testing.AllocsPerRun(100, func() { keySink, _ = vn.valueKey(sel2) }); n != 0 {
+		t.Fatalf("valueKey of interned names allocates %v times per run", n)
+	}
+	k1, _ := vn.valueKey(sel)
+	k2, _ := vn.valueKey(sel2)
+	if k1 != k2 {
+		t.Fatalf("same names keyed differently: %+v vs %+v", k1, k2)
+	}
+	if g, h := vn.operand(&ir.Global{Name: "g"}), vn.operand(&ir.FuncRef{Name: "g"}); g == h {
+		t.Fatalf("global and function named g share key %+v", g)
+	}
+	if len(vn.names) != 2 {
+		t.Fatalf("interned %d names, want 2", len(vn.names))
 	}
 }
 

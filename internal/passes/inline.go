@@ -22,6 +22,10 @@ func inlineCalls(mod *ir.Module, f *ir.Func, threshold int, tel *telemetry.Sessi
 		return 0
 	}
 	inlined := 0
+	// A call's result is forwarded to the load of its result slot; the
+	// remaining uses are rewritten in one sweep at the end.
+	fw := newForwarder(f)
+	defer fw.sweep()
 	for bi := 0; bi < len(f.Blocks); bi++ {
 		b := f.Blocks[bi]
 		for i := 0; i < len(b.Instrs); i++ {
@@ -36,7 +40,8 @@ func inlineCalls(mod *ir.Module, f *ir.Func, threshold int, tel *telemetry.Sessi
 			if callee.NumInstrs() > threshold || isRecursive(callee) {
 				continue
 			}
-			if inlineOne(f, b, i, in, callee) {
+			fw.resolveArgs(in)
+			if inlineOne(f, b, i, in, callee, fw) {
 				inlined++
 				emitRemark(tel, nil, "inline", "CallInlined:"+callee.Name, f.Name, b.Name)
 				// The block was split; restart scanning from the next
@@ -60,7 +65,8 @@ func isRecursive(f *ir.Func) bool {
 }
 
 // inlineOne splices callee's body in place of the call at b.Instrs[idx].
-func inlineOne(f *ir.Func, b *ir.Block, idx int, call *ir.Instr, callee *ir.Func) bool {
+// Uses of the call's result are forwarded through fw.
+func inlineOne(f *ir.Func, b *ir.Block, idx int, call *ir.Instr, callee *ir.Func, fw *forwarder) bool {
 	// Split b at the call: tail goes to a continuation block.
 	cont := f.NewBlock("inline.cont")
 	tail := make([]*ir.Instr, len(b.Instrs[idx+1:]))
@@ -144,7 +150,7 @@ func inlineOne(f *ir.Func, b *ir.Block, idx int, call *ir.Instr, callee *ir.Func
 	if resSlot != nil {
 		ld := &ir.Instr{Op: ir.OpLoad, Cls: call.Cls, Args: []ir.Value{resSlot}, Span: call.Span}
 		cont.InsertBefore(0, ld)
-		replaceUses(f, call, ld)
+		fw.forward(call, ld)
 	}
 	return true
 }

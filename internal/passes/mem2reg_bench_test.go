@@ -16,6 +16,12 @@ import (
 // benchmark or unit test can drive a single pass in isolation.
 func benchModule(tb testing.TB, src string) *ir.Module {
 	tb.Helper()
+	return lowerModule(tb, src, true)
+}
+
+// lowerModule is benchModule with predicate emission chosen by preds.
+func lowerModule(tb testing.TB, src string, preds bool) *ir.Module {
+	tb.Helper()
 	tu, perrs := parser.ParseFile("bench.c", src, nil)
 	if len(perrs) > 0 {
 		tb.Fatalf("parse: %v", perrs[0])
@@ -25,7 +31,7 @@ func benchModule(tb testing.TB, src string) *ir.Module {
 	}
 	an := ooe.New(ooe.Config{}, ooe.FuncMap(tu))
 	reports := an.AnalyzeUnit(tu)
-	mod, errs := irgen.Generate(tu, reports, irgen.Options{EmitPredicates: true})
+	mod, errs := irgen.Generate(tu, reports, irgen.Options{EmitPredicates: preds})
 	if len(errs) > 0 {
 		tb.Fatalf("irgen: %v", errs[0])
 	}

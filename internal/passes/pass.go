@@ -331,34 +331,6 @@ func emitRemark(tel *telemetry.Session, mgr *aa.Manager, pass, kind, fn, loc str
 	})
 }
 
-// buildUses computes value -> using instructions.
-func buildUses(f *ir.Func) map[ir.Value][]*ir.Instr {
-	uses := make(map[ir.Value][]*ir.Instr, f.NumInstrs())
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a != nil {
-					uses[a] = append(uses[a], in)
-				}
-			}
-		}
-	}
-	return uses
-}
-
-// replaceUses rewrites every use of old to new.
-func replaceUses(f *ir.Func, old, new ir.Value) {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a == old {
-					in.Args[i] = new
-				}
-			}
-		}
-	}
-}
-
 // removeAt deletes b.Instrs[i].
 func removeAt(b *ir.Block, i int) {
 	b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)

@@ -237,18 +237,20 @@ func setBlock(in *ir.Instr, b *ir.Block) {
 // whose operand would otherwise be dead is deleted along with it.
 func dce(f *ir.Func) int {
 	removed := 0
-	uses := map[ir.Value]int{}
-	// storeOnly tracks allocas used exclusively as store targets:
-	// both the stores and the slot are dead.
-	storeOnly := map[ir.Value]bool{}
+	slots := make([]dceSlot, f.IDBound())
+	// slot returns the slot of operand v, or nil when v is not one of
+	// f's instructions.
+	slot := func(v ir.Value) *dceSlot {
+		if x, ok := v.(*ir.Instr); ok && owns(f, len(slots), x) {
+			return &slots[x.ID]
+		}
+		return nil
+	}
 	for {
-		clear(uses)
-		clear(storeOnly)
+		clear(slots)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op == ir.OpAlloca {
-					storeOnly[in] = true
-				}
+				slots[in.ID] = dceSlot{present: true, storeOnly: in.Op == ir.OpAlloca}
 			}
 		}
 		for _, b := range f.Blocks {
@@ -257,46 +259,52 @@ func dce(f *ir.Func) int {
 					continue // metadata: not a real use
 				}
 				for ai, a := range in.Args {
-					uses[a]++
-					if _, isAl := storeOnly[a]; isAl {
+					if s := slot(a); s != nil {
+						s.uses++
 						if !(in.Op == ir.OpStore && ai == 0) {
-							delete(storeOnly, a)
+							s.storeOnly = false
 						}
 					}
 				}
 			}
 		}
+		// gone reports whether a mustnotalias operand has left the
+		// computation: no real uses and no longer in the body.
+		gone := func(v ir.Value) bool {
+			if _, ok := v.(*ir.Instr); !ok {
+				return false
+			}
+			s := slot(v)
+			return s == nil || (s.uses == 0 && !s.present)
+		}
 		changed := false
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
 				in := b.Instrs[i]
+				s := &slots[in.ID]
 				dead := false
 				switch {
-				case isPureValueOp(in) && uses[in] == 0:
+				case isPureValueOp(in) && s.uses == 0:
 					dead = true
-				case in.Op == ir.OpLoad && !in.Volatile && uses[in] == 0:
+				case in.Op == ir.OpLoad && !in.Volatile && s.uses == 0:
 					dead = true
-				case in.Op == ir.OpAlloca && uses[in] == 0:
+				case in.Op == ir.OpAlloca && s.uses == 0:
 					dead = true
-				case in.Op == ir.OpStore && !in.Volatile && storeOnly[in.Args[0]]:
+				case in.Op == ir.OpStore && !in.Volatile && storeOnlyTarget(slot(in.Args[0])):
 					dead = true
-				case in.Op == ir.OpAlloca && storeOnly[in] && uses[in] > 0:
+				case in.Op == ir.OpAlloca && s.storeOnly && s.uses > 0:
 					// Deleted together with its stores on the next round.
-				case in.Op == ir.OpVecLoad && uses[in] == 0:
+				case in.Op == ir.OpVecLoad && s.uses == 0:
 					dead = true
 				case in.Op == ir.OpMustNotAlias:
 					// Remove intrinsics whose operands are gone from the
 					// computation (only referenced by intrinsics).
-					a0, ok0 := in.Args[0].(*ir.Instr)
-					a1, ok1 := in.Args[1].(*ir.Instr)
-					if (ok0 && uses[a0] == 0 && !reachableInstr(f, a0)) ||
-						(ok1 && uses[a1] == 0 && !reachableInstr(f, a1)) {
-						dead = true
-					}
+					dead = gone(in.Args[0]) || gone(in.Args[1])
 				}
 				if dead {
 					removeAt(b, i)
 					i--
+					s.present = false
 					removed++
 					changed = true
 				}
@@ -309,15 +317,11 @@ func dce(f *ir.Func) int {
 	return removed
 }
 
-// reachableInstr reports whether the instruction is still present in the
-// function body.
-func reachableInstr(f *ir.Func, target *ir.Instr) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in == target {
-				return true
-			}
-		}
-	}
-	return false
+// dceSlot is dce's per-instruction state, indexed by ID.
+type dceSlot struct {
+	uses      int32 // uses outside mustnotalias intrinsics
+	present   bool  // still in the function body
+	storeOnly bool  // an alloca used only as a store target
 }
+
+func storeOnlyTarget(s *dceSlot) bool { return s != nil && s.storeOnly }

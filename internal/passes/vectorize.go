@@ -151,9 +151,9 @@ func isIndVarLoad(cl *canonLoop, plan *vecPlan, v ir.Value) bool {
 }
 
 // planVectorization checks legality and collects the transformation
-// plan. uses is the function's use map (from the analysis manager; the
+// plan. uses is the function's use table (from the analysis manager; the
 // caller invalidates it after each emitVectorLoop mutation).
-func planVectorization(f *ir.Func, cl *canonLoop, mgr *aa.Manager, uses map[ir.Value][]*ir.Instr, width, budget int) (*vecPlan, bool) {
+func planVectorization(f *ir.Func, cl *canonLoop, mgr *aa.Manager, uses *useTable, width, budget int) (*vecPlan, bool) {
 	plan := &vecPlan{}
 	l := cl.l
 
@@ -335,12 +335,12 @@ func planVectorization(f *ir.Func, cl *canonLoop, mgr *aa.Manager, uses map[ir.V
 	// reduction value must not be used as data elsewhere (its in-loop
 	// value is a vector partial sum, not the scalar running total).
 	for _, red := range plan.reductions {
-		for _, u := range uses[red.loadIn] {
+		for _, u := range uses.of(red.loadIn) {
 			if u != red.combine {
 				return nil, false
 			}
 		}
-		for _, u := range uses[red.combine] {
+		for _, u := range uses.of(red.combine) {
 			if u != red.store {
 				return nil, false
 			}
@@ -348,7 +348,7 @@ func planVectorization(f *ir.Func, cl *canonLoop, mgr *aa.Manager, uses map[ir.V
 	}
 	// Secondary IV increments must feed only their store.
 	for _, s := range plan.secIVs {
-		for _, u := range uses[s.incAdd] {
+		for _, u := range uses.of(s.incAdd) {
 			if u != s.incStore {
 				return nil, false
 			}
@@ -356,12 +356,12 @@ func planVectorization(f *ir.Func, cl *canonLoop, mgr *aa.Manager, uses map[ir.V
 	}
 	// Memory-reduction chains must stay private.
 	for _, mr := range plan.memReds {
-		for _, u := range uses[mr.loadIn] {
+		for _, u := range uses.of(mr.loadIn) {
 			if u != mr.combine {
 				return nil, false
 			}
 		}
-		for _, u := range uses[mr.combine] {
+		for _, u := range uses.of(mr.combine) {
 			if u != mr.store {
 				return nil, false
 			}
@@ -372,7 +372,7 @@ func planVectorization(f *ir.Func, cl *canonLoop, mgr *aa.Manager, uses map[ir.V
 	// feed only its store (the iota path covers `i + 1` as data via a
 	// separate instruction after CSE split... in practice CSE merges
 	// them, so reject the shared case).
-	for _, u := range uses[cl.incAdd] {
+	for _, u := range uses.of(cl.incAdd) {
 		if u != cl.incStore {
 			return nil, false
 		}

@@ -15,7 +15,7 @@ func WriteText(w io.Writer, snap *Snapshot) error {
 		return nil
 	}
 	if len(snap.Durations) > 0 {
-		fmt.Fprintln(w, "=== Phase timing (wall clock; nested spans as % of parent) ===")
+		fmt.Fprintln(w, "=== Phase timing (wall clock; nested spans as % of parent; (self) = parent minus its children) ===")
 		writeSpanTree(w, snap.Durations)
 	}
 	if len(snap.Counters) > 0 {
@@ -71,7 +71,11 @@ func spanParent(name string, recorded map[string]bool) string {
 // writeSpanTree prints the spans as a tree in first-seen order. Each
 // nested span is indented under its parent and shown as a share of the
 // parent's time; top-level spans are shown as shares of their own sum,
-// so no time is counted twice.
+// so no time is counted twice. A span with children gets a (self) row
+// first: its time minus its children's, the part no nested span covers
+// (for phase/opt, the scheduler, the analysis manager and fork/merge).
+// Children that ran in parallel can sum past their parent, which makes
+// (self) negative.
 func writeSpanTree(w io.Writer, durs []DurationStat) {
 	recorded := make(map[string]bool, len(durs))
 	for _, d := range durs {
@@ -86,16 +90,28 @@ func writeSpanTree(w io.Writer, durs []DurationStat) {
 			top += d.Total()
 		}
 	}
+	share := func(part, total time.Duration) float64 {
+		if total <= 0 {
+			return 0
+		}
+		return 100 * float64(part) / float64(total)
+	}
 	var walk func(parent string, total time.Duration, depth int)
 	walk = func(parent string, total time.Duration, depth int) {
-		for _, d := range children[parent] {
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(d.TotalNS) / float64(total)
+		kids := children[parent]
+		if parent != "" && len(kids) > 0 {
+			self := total
+			for _, d := range kids {
+				self -= d.Total()
 			}
+			fmt.Fprintf(w, "  %*s%-*s %12v  %5.1f%%\n",
+				2*depth, "", max(26-2*depth, 0), "(self)",
+				self.Round(time.Microsecond), share(self, total))
+		}
+		for _, d := range kids {
 			fmt.Fprintf(w, "  %*s%-*s %12v  %5.1f%%  (%d× , max %v)\n",
 				2*depth, "", max(26-2*depth, 0), d.Name,
-				d.Total().Round(time.Microsecond), pct, d.Count,
+				d.Total().Round(time.Microsecond), share(d.Total(), total), d.Count,
 				time.Duration(d.MaxNS).Round(time.Microsecond))
 			walk(d.Name, d.Total(), depth+1)
 		}

@@ -253,9 +253,10 @@ func TestWriteTextSpanShares(t *testing.T) {
 			t.Errorf("%s: got %+v, want %+v", name, got, w)
 		}
 	}
-	// Children print right under their parent, in first-seen order.
-	wantOrder := []string{"phase/parse", "phase/parse/cpp", "phase/parse/syntax",
-		"phase/opt", "pass/earlycse", "pass/licm", "phase/run", "phase/verify"}
+	// Children print right under their parent, in first-seen order, after
+	// the parent's (self) row.
+	wantOrder := []string{"phase/parse", "(self)", "phase/parse/cpp", "phase/parse/syntax",
+		"phase/opt", "(self)", "pass/earlycse", "pass/licm", "phase/run", "phase/verify"}
 	if strings.Join(order, " ") != strings.Join(wantOrder, " ") {
 		t.Errorf("row order %v, want %v", order, wantOrder)
 	}
@@ -304,4 +305,90 @@ func TestMergeMetrics(t *testing.T) {
 	// on either side is a no-op.
 	parent.MergeMetrics(nil)
 	(*Session)(nil).MergeMetrics(child)
+}
+
+// TestWriteTextSelfRows checks the (self) rows: every span with children
+// gets one, indented with the children, and self plus the children's
+// times equals the parent's time.
+func TestWriteTextSelfRows(t *testing.T) {
+	ms := func(n int64) int64 { return n * int64(time.Millisecond) }
+	snap := &Snapshot{Durations: []DurationStat{
+		{Name: "phase/parse", Count: 1, TotalNS: ms(200)},
+		{Name: "phase/parse/cpp", Count: 1, TotalNS: ms(50)},
+		{Name: "phase/parse/syntax", Count: 1, TotalNS: ms(120)},
+		{Name: "phase/opt", Count: 1, TotalNS: ms(500)},
+		{Name: "pass/earlycse", Count: 4, TotalNS: ms(250)},
+		{Name: "pass/licm", Count: 2, TotalNS: ms(125)},
+		{Name: "phase/run", Count: 1, TotalNS: ms(200)},
+	}}
+	var txt bytes.Buffer
+	if err := WriteText(&txt, snap); err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name   string
+		indent int
+		dur    time.Duration
+		pct    float64
+	}
+	var rows []row
+	for _, line := range strings.Split(txt.String(), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		d, err := time.ParseDuration(f[1])
+		if err != nil {
+			t.Fatalf("no duration in %q: %v", line, err)
+		}
+		var pct float64
+		if _, err := fmt.Sscanf(f[2], "%f%%", &pct); err != nil {
+			t.Fatalf("no share in %q: %v", line, err)
+		}
+		rows = append(rows, row{f[0], len(line) - len(strings.TrimLeft(line, " ")), d, pct})
+	}
+	wantSelf := map[string]struct {
+		dur time.Duration
+		pct float64
+	}{
+		"phase/parse": {30 * time.Millisecond, 15},
+		"phase/opt":   {125 * time.Millisecond, 25},
+	}
+	selfRows := 0
+	for i, r := range rows {
+		var kids []row
+		for _, k := range rows[i+1:] {
+			if k.indent <= r.indent {
+				break
+			}
+			if k.indent == r.indent+2 {
+				kids = append(kids, k)
+			}
+		}
+		w, hasKids := wantSelf[r.name]
+		if !hasKids {
+			if len(kids) > 0 {
+				t.Errorf("%s: unexpected nested rows %v", r.name, kids)
+			}
+			continue
+		}
+		if len(kids) == 0 || kids[0].name != "(self)" {
+			t.Errorf("%s: first nested row is not (self): %v", r.name, kids)
+			continue
+		}
+		selfRows++
+		if kids[0].dur != w.dur || math.Abs(kids[0].pct-w.pct) > 0.05 {
+			t.Errorf("%s (self) = %v %.1f%%, want %v %.1f%%", r.name, kids[0].dur, kids[0].pct, w.dur, w.pct)
+		}
+		var sum time.Duration
+		for _, k := range kids {
+			sum += k.dur
+		}
+		if sum != r.dur {
+			t.Errorf("%s: self plus children = %v, want the parent's %v", r.name, sum, r.dur)
+		}
+	}
+	if selfRows != len(wantSelf) {
+		t.Errorf("found %d (self) rows, want %d:\n%s", selfRows, len(wantSelf), txt.String())
+	}
 }
