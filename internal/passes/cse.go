@@ -262,8 +262,8 @@ const (
 // operandKey identifies an operand for value numbering: two operands are
 // the same value exactly when their keys are equal. Float constants are
 // keyed by bit pattern, so -0.0 and +0.0, and NaNs with different
-// payloads, stay distinct. The key holds no pointer, so maps keyed by it
-// cost the garbage collector nothing to scan.
+// payloads, stay distinct. The key holds no pointer, so the garbage
+// collector does not scan map keys.
 type operandKey struct {
 	kind operandKind
 	n    int64

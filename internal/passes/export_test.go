@@ -19,7 +19,10 @@ var LowerModule = lowerModule
 func DCE(fn *ir.Func) int { return dce(fn) }
 
 // BuildUses builds fn's use table.
-func BuildUses(fn *ir.Func) { buildUses(fn) }
+func BuildUses(fn *ir.Func) {
+	var t useTable
+	t.build(fn)
+}
 
 // EarlyCSE runs the earlycse pass over fn.
 func EarlyCSE(mod *ir.Module, fn *ir.Func, mgr *aa.Manager) int {

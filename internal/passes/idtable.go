@@ -162,13 +162,6 @@ type useTable struct {
 	users []*ir.Instr
 }
 
-// buildUses computes f's use table.
-func buildUses(f *ir.Func) *useTable {
-	t := &useTable{}
-	t.build(f)
-	return t
-}
-
 // build recomputes the table for f, reusing the table's storage.
 func (t *useTable) build(f *ir.Func) {
 	n := f.IDBound()

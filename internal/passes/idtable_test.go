@@ -29,7 +29,8 @@ func TestUseTableLateAndForeignIDs(t *testing.T) {
 	f, callee := idPair()
 	b := f.Entry()
 	ld, sum := b.Instrs[0], b.Instrs[1]
-	uses := buildUses(f)
+	var uses useTable
+	uses.build(f)
 	if got := uses.of(ld); !slices.Equal(got, []*ir.Instr{sum, sum}) {
 		t.Fatalf("uses of the load = %v, want the add twice", got)
 	}
@@ -58,7 +59,7 @@ func TestUseTableLateAndForeignIDs(t *testing.T) {
 
 	// A foreign operand does not count as a use of f's instruction.
 	b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{cld, cld}})
-	uses = buildUses(f)
+	uses.build(f)
 	if got := uses.of(ld); len(got) != 3 {
 		t.Fatalf("uses of the load = %v, want 3 (the foreign operand is not f's load)", got)
 	}

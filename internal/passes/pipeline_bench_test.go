@@ -24,7 +24,8 @@ func largestFunc(tb testing.TB) *ir.Func {
 
 // TestSideTableAllocs bounds the allocations of dce and of building the
 // use table by a constant: their ID-indexed tables cost a fixed number of
-// slices, however large the function.
+// slices (dce one, the use table its offsets and its users), however
+// large the function.
 func TestSideTableAllocs(t *testing.T) {
 	f := largestFunc(t)
 	if f.NumInstrs() < 100 {
@@ -37,7 +38,7 @@ func TestSideTableAllocs(t *testing.T) {
 		run  func()
 	}{
 		{"dce", 1, func() { passes.DCE(f) }},
-		{"buildUses", 3, func() { passes.BuildUses(f) }},
+		{"use table", 2, func() { passes.BuildUses(f) }},
 	} {
 		n := testing.AllocsPerRun(20, c.run)
 		t.Logf("%s on %d instructions: %v allocations per run", c.name, f.NumInstrs(), n)

@@ -290,8 +290,9 @@ func dce(f *ir.Func) int {
 					dead = true
 				case in.Op == ir.OpAlloca && s.uses == 0:
 					dead = true
-				case in.Op == ir.OpStore && !in.Volatile && storeOnlyTarget(slot(in.Args[0])):
-					dead = true
+				case in.Op == ir.OpStore && !in.Volatile:
+					t := slot(in.Args[0])
+					dead = t != nil && t.storeOnly
 				case in.Op == ir.OpAlloca && s.storeOnly && s.uses > 0:
 					// Deleted together with its stores on the next round.
 				case in.Op == ir.OpVecLoad && s.uses == 0:
@@ -323,5 +324,3 @@ type dceSlot struct {
 	present   bool  // still in the function body
 	storeOnly bool  // an alloca used only as a store target
 }
-
-func storeOnlyTarget(s *dceSlot) bool { return s != nil && s.storeOnly }
